@@ -18,6 +18,11 @@ ChatSession::ChatSession(PromptCacheEngine& engine,
   // uncached content; account for it.
   const bool kickoff = binding.args.empty() && binding.texts.empty();
   next_pos_ = binding.next_pos + (kickoff ? 1 : 0);
+  if (wrap_turns_) {
+    const ChatTemplate tmpl(engine.model().config().chat_template);
+    suffix_tokens_ =
+        engine.tokenizer().encode(tmpl.wrap(ChatRole::kAssistant).suffix);
+  }
 }
 
 ChatSession::TurnResult ChatSession::send(std::string_view user_text,
@@ -33,49 +38,44 @@ ChatSession::TurnResult ChatSession::send(std::string_view user_text,
   const std::vector<TokenId> turn_tokens =
       engine_->tokenizer().encode(turn_text);
   PC_CHECK_MSG(!turn_tokens.empty(), "empty user turn");
-  PC_CHECK_MSG(next_pos_ + static_cast<int>(turn_tokens.size()) +
+  // The reply leaves at most one unfed token (plus the suffix) pending;
+  // the strict bound keeps a position for it.
+  PC_CHECK_MSG(next_pos_ + static_cast<int>(pending_.size() +
+                                            turn_tokens.size() +
+                                            suffix_tokens_.size()) +
                        options.max_new_tokens <
                    engine_->model().config().max_pos,
                "session position budget exhausted after "
                    << turns_ << " turns; start a new session");
 
-  std::vector<int> pos(turn_tokens.size());
+  // The previous reply's pending tail and this user turn, in one forward.
+  std::vector<TokenId> input = std::move(pending_);
+  pending_.clear();
+  input.insert(input.end(), turn_tokens.begin(), turn_tokens.end());
+  std::vector<int> pos(input.size());
   std::iota(pos.begin(), pos.end(), next_pos_);
-  const Tensor logits = engine_->model().forward(turn_tokens, pos, cache_);
-  next_pos_ += static_cast<int>(turn_tokens.size());
+  const Tensor logits = engine_->model().forward(input, pos, cache_);
+  next_pos_ += static_cast<int>(input.size());
 
   const int before_reply = cache_.size();
   TurnResult result;
   result.input_tokens = static_cast<int>(turn_tokens.size());
-  result.tokens =
-      engine_->model().generate_greedy(logits, next_pos_, cache_, options);
-  // Generation forwards every emitted token except possibly the last one
-  // (emitted but not yet fed back). Keep the cache complete so the next
-  // turn sees the whole reply.
-  const int forwarded = cache_.size() - before_reply;
-  next_pos_ += forwarded;
-  if (static_cast<int>(result.tokens.size()) > forwarded &&
-      next_pos_ < engine_->model().config().max_pos) {
-    const TokenId last = result.tokens.back();
-    const int p = next_pos_;
-    (void)engine_->model().forward({&last, 1}, {&p, 1}, cache_);
-    ++next_pos_;
-  }
+  Model::GenerateOutput gen =
+      engine_->model().generate(logits, next_pos_, cache_, options);
+  next_pos_ += cache_.size() - before_reply;
 
-  // Close the assistant block so the following turn is well-formed.
-  const std::string closing =
-      wrap_turns_ ? tmpl.wrap(ChatRole::kAssistant).suffix : std::string();
-  const std::vector<TokenId> closing_tokens =
-      engine_->tokenizer().encode(closing);
-  if (!closing_tokens.empty() &&
-      next_pos_ + static_cast<int>(closing_tokens.size()) <
-          engine_->model().config().max_pos) {
-    std::vector<int> cpos(closing_tokens.size());
-    std::iota(cpos.begin(), cpos.end(), next_pos_);
-    (void)engine_->model().forward(closing_tokens, cpos, cache_);
-    next_pos_ += static_cast<int>(closing_tokens.size());
+  // Generation never feeds back its last sampled token: the terminator, or
+  // the last reply token when the reply was cut short. It stays in the
+  // history, pending, except that a wrapped turn's suffix is its only
+  // terminator.
+  if (gen.unfed_token.has_value() &&
+      !(wrap_turns_ && gen.finish_reason == FinishReason::kStopToken)) {
+    pending_.push_back(*gen.unfed_token);
   }
+  pending_.insert(pending_.end(), suffix_tokens_.begin(),
+                  suffix_tokens_.end());
 
+  result.tokens = std::move(gen.tokens);
   result.text = engine_->tokenizer().decode(result.tokens);
   result.latency_ms = timer.elapsed_ms();
   ++turns_;

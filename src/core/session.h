@@ -8,6 +8,17 @@
 // session instead of once per turn.
 //
 // Turns are wrapped with the model family's chat template (§3.2.3).
+//
+// The session's history is the transcript a re-prefill would see, reply
+// terminators included: the token that ended each reply (the stop token, or
+// the last token of a matched stop sequence) stays in the history, so a
+// repeated question is answered like a fresh one instead of running on past
+// the old answer. Generation never feeds back its last sampled token, so
+// that token — with the template's assistant suffix in wrapped mode — is
+// kept pending and rides the front of the next turn's single forward: a
+// steady raw turn costs 1 + (reply tokens) forward passes. Wrapped turns
+// keep the suffix as their only terminator; the model's own stop token is
+// not recorded before it.
 #pragma once
 
 #include <string>
@@ -31,7 +42,9 @@ class ChatSession {
     std::string text;
     std::vector<TokenId> tokens;
     double latency_ms = 0;
-    int input_tokens = 0;  // user-turn tokens appended to the cache
+    // User-turn tokens appended to the history (the previous reply's
+    // pending tail, forwarded in the same pass, is not counted).
+    int input_tokens = 0;
   };
 
   // Appends one user turn and generates the assistant reply.
@@ -39,17 +52,25 @@ class ChatSession {
                   const GenerateOptions& options = {});
 
   int turns() const { return turns_; }
-  int context_tokens() const { return cache_.size(); }
+  // Tokens of history: those in the cache plus the pending tail.
+  int context_tokens() const {
+    return cache_.size() + static_cast<int>(pending_.size());
+  }
 
   // Positions left before the model's max_pos is exhausted.
   int remaining_positions() const {
-    return engine_->model().config().max_pos - next_pos_;
+    return engine_->model().config().max_pos - next_pos_ -
+           static_cast<int>(pending_.size());
   }
 
  private:
   PromptCacheEngine* engine_;
   KVCache cache_;
   bool wrap_turns_;
+  // The assistant block's closing tokens (empty for raw turns).
+  std::vector<TokenId> suffix_tokens_;
+  // History not yet in cache_, at positions next_pos_ onwards.
+  std::vector<TokenId> pending_;
   int next_pos_ = 0;
   int turns_ = 0;
 };

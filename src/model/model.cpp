@@ -820,6 +820,8 @@ Model::GenerateOutput Model::generate_impl(
     const Tensor logits = forward({&input, 1}, {&pos, 1}, cache);
     next = sample_token(logits, options, rng);
   }
+  // Every exit above leaves the unfed candidate in `next`.
+  if (options.max_new_tokens > 0) out.unfed_token = next;
   return out;
 }
 

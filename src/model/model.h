@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -144,6 +145,12 @@ class Model {
   struct GenerateOutput {
     std::vector<TokenId> tokens;
     FinishReason finish_reason = FinishReason::kLength;
+    // The last token sampled but never fed back through forward(), so it
+    // is not in the cache: the stop token that matched (kStopToken), the
+    // last token of the matched stop sequence (kStopSequence), or the last
+    // emitted token (kLength, kPositionBudget, kCancelled). Empty only when
+    // max_new_tokens <= 0.
+    std::optional<TokenId> unfed_token;
   };
   GenerateOutput generate(const Tensor& last_logits, int next_pos,
                           KVCache& cache,

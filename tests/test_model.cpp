@@ -350,6 +350,98 @@ TEST(StopSequences, MatchedTailIsRemovedAndGenerationStops) {
             full);
 }
 
+// GenerateOutput::unfed_token names the one sampled token generation did
+// not feed back, for every way generation can end. The induction model
+// copies "20 -> 30 31 32 33", so each case's outputs are fully determined;
+// the cache size shows which tokens were fed.
+class UnfedToken : public ::testing::Test {
+ protected:
+  UnfedToken() : model_(make_induction_model({48, 64})) {}
+
+  Model::GenerateOutput run(const GenerateOptions& options,
+                            int first_pos = 0) {
+    cache_ = model_.make_cache();
+    const auto pos = iota_positions(kPrompt.size(), first_pos);
+    return model_.generate(
+        model_.forward(kPrompt, pos, cache_),
+        first_pos + static_cast<int>(kPrompt.size()), cache_, options);
+  }
+
+  // Rows generation appended to the cache.
+  int fed() const {
+    return cache_.size() - static_cast<int>(kPrompt.size());
+  }
+
+  static GenerateOptions plain() {
+    GenerateOptions o;
+    o.max_new_tokens = 4;
+    o.stop_tokens.clear();
+    return o;
+  }
+
+  const std::vector<TokenId> kPrompt = {5, 20, 30, 31, 32, 33, 6, 20};
+  Model model_;
+  KVCache cache_{1, 1};
+};
+
+TEST_F(UnfedToken, IsTheStopTokenThatMatched) {
+  GenerateOptions o = plain();
+  o.stop_tokens = {40, 32, 41};
+  const auto out = run(o);
+  EXPECT_EQ(out.finish_reason, FinishReason::kStopToken);
+  EXPECT_EQ(out.tokens, (std::vector<TokenId>{30, 31}));
+  EXPECT_EQ(out.unfed_token, std::optional<TokenId>(32));
+  EXPECT_EQ(fed(), 2);
+}
+
+TEST_F(UnfedToken, IsTheLastTokenOfAMatchedStopSequence) {
+  GenerateOptions o = plain();
+  o.stop_sequences = {{31, 32}};
+  const auto out = run(o);
+  EXPECT_EQ(out.finish_reason, FinishReason::kStopSequence);
+  EXPECT_EQ(out.tokens, (std::vector<TokenId>{30}));
+  EXPECT_EQ(out.unfed_token, std::optional<TokenId>(32));
+  EXPECT_EQ(fed(), 2);  // 30 and the sequence's head 31
+}
+
+TEST_F(UnfedToken, IsTheLastEmittedTokenAtLength) {
+  GenerateOptions o = plain();
+  o.max_new_tokens = 3;
+  const auto out = run(o);
+  EXPECT_EQ(out.finish_reason, FinishReason::kLength);
+  EXPECT_EQ(out.tokens, (std::vector<TokenId>{30, 31, 32}));
+  EXPECT_EQ(out.unfed_token, std::optional<TokenId>(32));
+  EXPECT_EQ(fed(), 2);
+}
+
+TEST_F(UnfedToken, IsTheLastEmittedTokenWhenCancelled) {
+  GenerateOptions o = plain();
+  o.cancel = CancellationToken::manual();
+  o.cancel.cancel();
+  const auto out = run(o);
+  EXPECT_EQ(out.finish_reason, FinishReason::kCancelled);
+  EXPECT_EQ(out.tokens, (std::vector<TokenId>{30}));
+  EXPECT_EQ(out.unfed_token, std::optional<TokenId>(30));
+  EXPECT_EQ(fed(), 0);
+}
+
+TEST_F(UnfedToken, IsTheLastEmittedTokenAtThePositionBudget) {
+  // The prompt ends at max_pos - 1: the first emitted token has no position.
+  const auto out = run(plain(), 64 - static_cast<int>(kPrompt.size()));
+  EXPECT_EQ(out.finish_reason, FinishReason::kPositionBudget);
+  EXPECT_EQ(out.tokens, (std::vector<TokenId>{30}));
+  EXPECT_EQ(out.unfed_token, std::optional<TokenId>(30));
+  EXPECT_EQ(fed(), 0);
+}
+
+TEST_F(UnfedToken, IsEmptyWhenNothingMayBeGenerated) {
+  GenerateOptions o = plain();
+  o.max_new_tokens = 0;
+  const auto out = run(o);
+  EXPECT_TRUE(out.tokens.empty());
+  EXPECT_FALSE(out.unfed_token.has_value());
+}
+
 TEST(ModelConfig, ValidatesHeadDivisibility) {
   ModelConfig c = ModelConfig::llama_tiny(kVocab);
   c.n_kv_heads = 4;  // 6 % 4 != 0

@@ -1,9 +1,11 @@
 // Tests for multi-turn chat sessions: cached-context reuse across turns,
 // conversation memory (facts stated by the user are retrievable later),
-// and position-budget exhaustion.
+// replies to repeated questions equal to the baseline's, and
+// position-budget exhaustion.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/session.h"
@@ -54,6 +56,49 @@ TEST_F(SessionTest, AnswersAcrossTurnsFromCachedContext) {
   // The cache grew with the conversation, not with re-prefills.
   EXPECT_GT(session.context_tokens(), base_context);
   EXPECT_LT(session.context_tokens(), base_context + 64);
+  // Exactly: each turn's tokens, its reply and the terminator that ended
+  // the reply (the last one still pending, but history all the same).
+  const int q05 = static_cast<int>(
+      engine_.tokenizer().encode("question: q05").size());
+  const int q06 = static_cast<int>(
+      engine_.tokenizer().encode("question: q06").size());
+  EXPECT_EQ(session.context_tokens(), base_context + q05 + 2 + 1 + q06 + 2 + 1);
+}
+
+// A session's history must equal a re-prefill of its transcript, reply
+// terminators included: without them a repeated question runs on past the
+// old answer ("a10 a11 question: q05 a10"). Every reply must equal the
+// baseline's for the same question asked from scratch.
+TEST_F(SessionTest, RepeatedQuestionsMatchBaseline) {
+  auto expect_baseline = [&](ChatSession& session, const char* question,
+                             const GenerateOptions& options) {
+    SCOPED_TRACE(question);
+    const auto reply = session.send(question, options);
+    const ServeResult full = engine_.serve_baseline(
+        std::string(R"(<prompt schema="chat"><doc1/><doc2/> )") + question +
+            "</prompt>",
+        options);
+    EXPECT_EQ(reply.tokens, full.tokens);
+  };
+  ChatSession session(engine_, kPrompt, /*wrap_turns=*/false);
+  for (const char* q : {"question: q05", "question: q06", "question: q05",
+                        "question: q05", "question: q06"}) {
+    expect_baseline(session, q, answer_options());
+  }
+
+  // Replies cut by a stop sequence: its last token ("." here) is the
+  // terminator the history keeps. In a fresh session two such turns
+  // outvote the document's own "a13 .", so a history without that
+  // terminator would make the repeat run on.
+  const Vocab& vocab = workload_.tokenizer().vocab();
+  GenerateOptions by_sequence = answer_options();
+  by_sequence.stop_tokens.clear();
+  by_sequence.stop_sequences = {
+      {*vocab.find_piece("a13"), *vocab.find_piece(".")}};
+  ChatSession cut(engine_, kPrompt, /*wrap_turns=*/false);
+  expect_baseline(cut, "question: q06", by_sequence);
+  expect_baseline(cut, "question: q06", by_sequence);
+  expect_baseline(cut, "question: q06", answer_options());
 }
 
 // Conversation memory: a fact the *user* states in one turn is retrievable
