@@ -381,7 +381,7 @@ class UnfedToken : public ::testing::Test {
 
   const std::vector<TokenId> kPrompt = {5, 20, 30, 31, 32, 33, 6, 20};
   Model model_;
-  KVCache cache_{1, 1};
+  KVCache cache_ = model_.make_cache();
 };
 
 TEST_F(UnfedToken, IsTheStopTokenThatMatched) {
