@@ -17,17 +17,13 @@ namespace {
 // (m=1) matmul never pays pool latency.
 constexpr size_t kParallelWorkThreshold = size_t{1} << 18;
 
-bool worth_parallel(size_t m, size_t work_per_row) {
-  return m >= 2 && m * work_per_row >= kParallelWorkThreshold &&
-         ThreadPool::global().size() > 1;
-}
-
 void for_rows(size_t m, size_t work_per_row,
               const std::function<void(size_t, size_t)>& fn) {
-  if (worth_parallel(m, work_per_row)) {
-    ThreadPool::global().parallel_for(m, fn);
-  } else {
+  if (m < 2 || m * work_per_row < kParallelWorkThreshold ||
+      ThreadPool::global().size() <= 1) {
     fn(0, m);
+  } else {
+    ThreadPool::global().parallel_for(m, fn);
   }
 }
 
@@ -66,17 +62,15 @@ void gemm(const float* a, const float* b, float* c, size_t m, size_t k,
 
 void gemm_nt(const float* a, const float* b, float* c, size_t m, size_t k,
              size_t n) {
-  // Output block rows [row_begin, row_end) x columns [col_begin, col_end).
-  // Column panels of NC B-rows; within a panel, 2x4 register tiles (two
-  // A rows x four B rows) so every loaded vector is reused across the
-  // tile. Edge rows use the 1x4 tile and edge columns the plain dot —
-  // both share the 2x4 tile's per-(row, column) accumulation order, so
-  // the result for any output element is independent of m, of the
-  // blocking and of how the output is split across workers (see simd.h).
-  auto block = [&](size_t row_begin, size_t row_end, size_t col_begin,
-                   size_t col_end) {
-    for (size_t jb = col_begin; jb < col_end; jb += kGemmNtNC) {
-      const size_t je = std::min(col_end, jb + kGemmNtNC);
+  for_rows(m, k * n, [&](size_t row_begin, size_t row_end) {
+    // Column panels of NC B-rows; within a panel, 2x4 register tiles (two
+    // A rows x four B rows) so every loaded vector is reused across the
+    // tile. Edge rows use the 1x4 tile and edge columns the plain dot —
+    // both share the 2x4 tile's per-(row, column) accumulation order, so
+    // the result for any output element is independent of m and of the
+    // blocking (see simd.h).
+    for (size_t jb = 0; jb < n; jb += kGemmNtNC) {
+      const size_t je = std::min(n, jb + kGemmNtNC);
       size_t i = row_begin;
       for (; i + 2 <= row_end; i += 2) {
         const float* a0 = a + i * k;
@@ -104,25 +98,7 @@ void gemm_nt(const float* a, const float* b, float* c, size_t m, size_t k,
         for (; j < je; ++j) ci[j] = simd::dot(ai, b + j * k, k);
       }
     }
-  };
-  if (!worth_parallel(m, k * n)) {
-    block(0, m, 0, n);
-  } else if (m >= n) {
-    ThreadPool::global().parallel_for(
-        m, [&](size_t row_begin, size_t row_end) {
-          block(row_begin, row_end, 0, n);
-        });
-  } else {
-    // Fewer output rows than B rows (short prefills, the uncached tail of
-    // a cached prompt): a row split would leave workers idle when m is
-    // below the pool size and make every worker stream all of B. Split
-    // the output columns instead, in whole 4-column tiles, so each worker
-    // streams only its share of B.
-    ThreadPool::global().parallel_for(
-        (n + 3) / 4, [&](size_t tile_begin, size_t tile_end) {
-          block(0, m, tile_begin * 4, std::min(n, tile_end * 4));
-        });
-  }
+  });
 }
 
 float dot(const float* a, const float* b, size_t n) {

@@ -250,30 +250,6 @@ TEST(GemmKernels, RowResultIndependentOfBatchSize) {
   }
 }
 
-TEST(GemmKernels, ParallelSplitMatchesSingleRowBitwise) {
-  // Shapes past the parallel threshold: a short input (m < n, split over
-  // output columns, n not a multiple of the 4-column tile) and a tall one
-  // (m >= n, split over rows). Every row must equal the single-row call,
-  // which always runs inline on the caller.
-  const std::vector<std::array<size_t, 3>> shapes = {{3, 257, 515},
-                                                     {600, 129, 7}};
-  for (const auto& s : shapes) {
-    const size_t m = s[0], k = s[1], n = s[2];
-    const auto a = random_vec(m * k, 11 * k + n);
-    const auto b = random_vec(n * k, 13 * k + m);
-    std::vector<float> full(m * n);
-    gemm_nt(a.data(), b.data(), full.data(), m, k, n);
-    for (size_t i = 0; i < m; ++i) {
-      std::vector<float> single(n);
-      gemm_nt(a.data() + i * k, b.data(), single.data(), 1, k, n);
-      for (size_t j = 0; j < n; ++j) {
-        ASSERT_EQ(full[i * n + j], single[j])
-            << "m=" << m << " row " << i << " col " << j;
-      }
-    }
-  }
-}
-
 // ---- softmax ---------------------------------------------------------------
 
 TEST(SoftmaxKernel, BitIdenticalToScalarReference) {
