@@ -99,6 +99,59 @@ TEST_F(SessionTest, RepeatedQuestionsMatchBaseline) {
   expect_baseline(cut, "question: q06", by_sequence);
   expect_baseline(cut, "question: q06", by_sequence);
   expect_baseline(cut, "question: q06", answer_options());
+
+  // Wrapped turns: every reply must equal the baseline's over the rendered
+  // transcript so far, in which the assistant suffix alone closes a reply
+  // that hit the stop token (the stop token itself is not recorded), while
+  // a reply cut by max_new_tokens or by a stop sequence keeps its last
+  // token or that sequence ahead of the suffix. The plain template's suffix
+  // is a newline, which this tokenizer turns into no token.
+  const ChatTemplate tmpl(model_.config().chat_template);
+  const ChatTemplate::Wrapping assistant = tmpl.wrap(ChatRole::kAssistant);
+  GenerateOptions cut_short = answer_options();
+  cut_short.max_new_tokens = 2;
+  GenerateOptions by_answer = answer_options();
+  by_answer.stop_sequences = {
+      {*vocab.find_piece("a10"), *vocab.find_piece("a11")}};
+  struct Turn {
+    const char* question;
+    GenerateOptions options;
+    std::string kept;  // the matched stop sequence's text, if any
+  };
+  const std::vector<Turn> turns = {
+      {"question: q05", answer_options(), ""},
+      {"question: q06", answer_options(), ""},
+      {"question: q05", answer_options(), ""},
+      {"question: q05", cut_short, ""},
+      {"question: q06", by_answer, " a10 a11"},
+      {"question: q05", answer_options(), ""},
+  };
+  ChatSession wrapped(engine_, kPrompt, /*wrap_turns=*/true);
+  const int base_context = wrapped.context_tokens();
+  std::string transcript;
+  std::vector<FinishReason> finishes;
+  for (const Turn& turn : turns) {
+    SCOPED_TRACE(transcript);
+    const std::string user =
+        tmpl.render(ChatRole::kUser, turn.question) + assistant.prefix;
+    const auto reply = wrapped.send(turn.question, turn.options);
+    const ServeResult full = engine_.serve_baseline(
+        R"(<prompt schema="chat"><doc1/><doc2/> )" + transcript + user +
+            "</prompt>",
+        turn.options);
+    EXPECT_EQ(reply.tokens, full.tokens);
+    finishes.push_back(full.finish_reason);
+    transcript += user + reply.text + turn.kept + assistant.suffix;
+  }
+  // The transcript covered each way a reply ends, and the history holds
+  // exactly its tokens.
+  for (FinishReason f : {FinishReason::kStopToken, FinishReason::kLength,
+                         FinishReason::kStopSequence}) {
+    EXPECT_NE(std::find(finishes.begin(), finishes.end(), f), finishes.end());
+  }
+  EXPECT_EQ(wrapped.context_tokens(),
+            base_context + static_cast<int>(
+                               engine_.tokenizer().encode(transcript).size()));
 }
 
 // Conversation memory: a fact the *user* states in one turn is retrievable
