@@ -11,7 +11,10 @@
 //     under mutex_ snapshots what it needs and re-locks lifecycle after
 //     releasing. At most ONE lifecycle is held at a time — cross-shard
 //     copies take the source's lock, copy the payload out, release, then
-//     take the destination's.
+//     take the destination's. A delivery that streams cross-fetched copies
+//     out erases them holding the shard's lifecycle and mutex_ (a store
+//     erase, not a Server call or a copy), so the delivery is counted for
+//     drain() only once its copies are gone.
 //   * events_mutex_ is a leaf: push_event takes nothing else, and may be
 //     called while holding mutex_ or a lifecycle.
 //   * replicator_mutex_ serializes healing passes and fronts the
@@ -622,8 +625,8 @@ void ShardRouter::dispatch(uint64_t rid) {
       ServerResponse r;
       r.status = ServeStatus::kTimeout;
       r.detail = "deadline expired during shard failover";
-      std::vector<std::string> stranded;
       {
+        std::lock_guard<std::mutex> lifecycle(tgt.lifecycle);
         std::lock_guard<std::mutex> lock(mutex_);
         if (pending_.find(rid) == pending_.end()) return;
         if (tgt.alive && tgt.epoch == epoch_snap) {
@@ -632,29 +635,24 @@ void ShardRouter::dispatch(uint64_t rid) {
           // (A kill since phase 2 already reclaimed both.)
           if (tgt.outstanding > 0) --tgt.outstanding;
           if (!config_.cache_cross_fetches) {
+            std::vector<std::string> stranded;
             for (const auto& key : fetched) {
               if (fetch_refs_.find({target, key}) == fetch_refs_.end()) {
                 stranded.push_back(key);
               }
             }
+            erase_streamed(tgt, stranded);
           }
         }
         (void)deliver_locked(rid, -1, std::move(r));
       }
       cv_done_.notify_all();
-      if (!stranded.empty()) {
-        std::lock_guard<std::mutex> lock(tgt.lifecycle);
-        if (tgt.store != nullptr) {
-          for (const auto& key : stranded) tgt.store->erase(key);
-        }
-      }
       return;
     }
     sopts.deadline_ms = remaining;
   }
 
   bool delivered = false;
-  std::vector<std::string> cleanup;
   {
     // lifecycle held across submit(): a restart cannot swap the Server out
     // from under us, and lifecycle -> mutex_ is the sanctioned order.
@@ -708,7 +706,7 @@ void ShardRouter::dispatch(uint64_t rid) {
           // delivery now.
           ServerResponse resp = std::move(oit->second);
           orphans_.erase(oit);
-          cleanup = deliver_locked(rid, target, std::move(resp));
+          erase_streamed(tgt, deliver_locked(rid, target, std::move(resp)));
           delivered = true;
         } else {
           inflight_[k] = rid;
@@ -716,15 +714,7 @@ void ShardRouter::dispatch(uint64_t rid) {
       }
     }
   }
-  if (delivered) {
-    cv_done_.notify_all();
-    if (!cleanup.empty()) {
-      std::lock_guard<std::mutex> lock(tgt.lifecycle);
-      if (tgt.store != nullptr) {
-        for (const auto& key : cleanup) tgt.store->erase(key);
-      }
-    }
-  }
+  if (delivered) cv_done_.notify_all();
 }
 
 // --- Pump ------------------------------------------------------------------
@@ -764,18 +754,20 @@ void ShardRouter::pump_loop() {
 
 void ShardRouter::process_delivery(Event& e) {
   bool delivered = false;
-  std::vector<std::string> cleanup;
+  Shard& s = *shards_[static_cast<size_t>(e.shard)];
   {
+    // lifecycle first (the sanctioned order): streamed keys leave the store
+    // before the delivery becomes visible to drain().
+    std::lock_guard<std::mutex> lifecycle(s.lifecycle);
     std::lock_guard<std::mutex> lock(mutex_);
     const InflightKey k{e.shard, e.epoch, e.resp.id};
     auto it = inflight_.find(k);
     if (it != inflight_.end()) {
       const uint64_t rid = it->second;
       inflight_.erase(it);
-      cleanup = deliver_locked(rid, e.shard, std::move(e.resp));
+      erase_streamed(s, deliver_locked(rid, e.shard, std::move(e.resp)));
       delivered = true;
     } else {
-      Shard& s = *shards_[static_cast<size_t>(e.shard)];
       if (s.alive && s.epoch == e.epoch) {
         // Raced its own registration; park until dispatch registers it.
         orphans_.emplace(k, std::move(e.resp));
@@ -784,15 +776,13 @@ void ShardRouter::process_delivery(Event& e) {
       // failed over).
     }
   }
-  if (!delivered) return;
-  cv_done_.notify_all();
-  if (!cleanup.empty()) {
-    Shard& s = *shards_[static_cast<size_t>(e.shard)];
-    std::lock_guard<std::mutex> lock(s.lifecycle);
-    if (s.store != nullptr) {
-      for (const auto& key : cleanup) s.store->erase(key);
-    }
-  }
+  if (delivered) cv_done_.notify_all();
+}
+
+void ShardRouter::erase_streamed(Shard& s,
+                                 const std::vector<std::string>& keys) {
+  if (s.store == nullptr) return;
+  for (const auto& key : keys) s.store->erase(key);
 }
 
 std::vector<std::string> ShardRouter::deliver_locked(uint64_t rid, int shard,

@@ -269,9 +269,15 @@ class ShardRouter {
   // Books the terminal response under mutex_; returns the cross-fetched
   // keys to stream back out of `shard`'s store (empty unless this delivery
   // came from the last dispatch target and streaming is on). The caller
-  // erases them outside mutex_ and notifies cv_done_.
+  // holds that shard's lifecycle (taken before mutex_), erases the keys
+  // with erase_streamed() before releasing mutex_ — so drain() never
+  // returns while a streamed key is still resident — then notifies
+  // cv_done_.
   std::vector<std::string> deliver_locked(uint64_t rid, int shard,
                                           ServerResponse&& resp);
+  // Erases streamed cross-fetch copies from `s`'s store (caller holds
+  // s.lifecycle).
+  void erase_streamed(Shard& s, const std::vector<std::string>& keys);
   void process_delivery(Event& e);
   void process_failover(uint64_t rid);
   void process_restart(int shard);
