@@ -1,5 +1,5 @@
-// Concurrent-serving throughput: shared SharedModuleStore vs per-worker
-// private ModuleStores, swept over worker counts. Prints tables and writes
+// Concurrent-serving throughput: one shared SharedModuleStore vs one store
+// per worker engine, swept over worker counts. Prints tables and writes
 // BENCH_server.json (repo root when launched via scripts/run_all.sh).
 //
 // What the sweep shows:

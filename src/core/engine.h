@@ -18,30 +18,26 @@
 //
 // Threading contract: a single engine is single-threaded — serve(),
 // load_schema() and the other mutating calls must not run concurrently (the
-// per-engine stats and histograms are unsynchronized). Scale out with one
-// engine per worker thread over a shared (const) Model, in one of two
-// configurations:
-//
-//   * Private stores (the default constructor): each engine owns a
-//     ModuleStore. Workers are fully isolated but encode and hold every
-//     module once *per worker*; share encoded modules between processes via
-//     save_modules()/load_modules().
-//   * Shared store (the SharedModuleStore& constructor): N engines route
-//     find/insert/pin through one thread-safe store, so each module is
-//     encoded once fleet-wide (single-flight) and held once. Zero-copy
-//     views take reference-counted pins, so a request on one worker blocks
-//     eviction triggered by another; per-engine TTFT histograms merge()
-//     into fleet percentiles. This is the serving configuration — see
-//     src/sys/server.h for the queue + worker-pool frontend.
+// per-engine stats and histograms are unsynchronized). Every engine stores
+// its encoded modules in a SharedModuleStore. The capacity constructor
+// gives the engine a store of its own; the SharedModuleStore& constructor
+// lets N engines on worker threads over a shared (const) Model route
+// find/insert/pin through one store, so each module is encoded once
+// fleet-wide (single-flight) and held once. Zero-copy views take
+// reference-counted pins, so a request on one worker blocks eviction
+// triggered by another; per-engine TTFT histograms merge() into fleet
+// percentiles. Engines with stores of their own share encoded modules
+// between processes via save_modules()/load_modules(); src/sys/server.h is
+// the queue + worker-pool frontend over either kind.
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/histogram.h"
-#include "core/module_store.h"
 #include "core/shared_module_store.h"
 #include "model/model.h"
 #include "pml/prompt.h"
@@ -171,6 +167,8 @@ struct EngineCells {
 
 class PromptCacheEngine {
  public:
+  // Engine-owned store: a one-shard SharedModuleStore sized by the
+  // EngineConfig capacity fields (whole-capacity LRU), disk tier off.
   PromptCacheEngine(const Model& model, const TextTokenizer& tokenizer,
                     EngineConfig config = {});
 
@@ -235,9 +233,9 @@ class PromptCacheEngine {
   Tensor assemble_and_prefill(const pml::PromptBinding& binding,
                               KVCache& sequence_cache, TtftBreakdown* ttft);
 
-  // Zero-copy variant: borrows module rows from the store (pinning them
-  // for the view's lifetime is the caller's job in manual use; serve()
-  // handles it). The view must have tail capacity for the uncached tokens.
+  // Zero-copy variant: borrows module rows from the store, pinned until
+  // release_borrowed_pins() (serve() calls it; manual callers must). The
+  // view must have tail capacity for the uncached tokens.
   Tensor assemble_and_prefill(const pml::PromptBinding& binding,
                               SegmentedKVCache& view, TtftBreakdown* ttft);
 
@@ -277,14 +275,9 @@ class PromptCacheEngine {
 
   const Model& model() const { return model_; }
   const TextTokenizer& tokenizer() const { return tokenizer_; }
-  // The private store; contract violation on a shared-store engine (its
-  // registry is the SharedModuleStore — use shared_store()).
-  ModuleStore& store() {
-    PC_CHECK_MSG(shared_ == nullptr,
-                 "engine uses a SharedModuleStore; query shared_store()");
-    return store_;
-  }
-  SharedModuleStore* shared_store() const { return shared_; }
+  // The store this engine encodes into and serves from (its own, or the
+  // one it shares with other engines).
+  SharedModuleStore& store() const { return *store_; }
   // Counter snapshot (a view over this engine's registry cells).
   EngineStats stats() const { return cells_.snapshot(); }
 
@@ -300,13 +293,12 @@ class PromptCacheEngine {
 
   // Resolves the encoded payload for every module/scaffold of a binding
   // (re-encoding evicted entries) and emits them in concatenation order.
-  // With `borrow` (zero-copy assembly over a shared store), each emitted
-  // module is pinned and its ref retained in borrowed_refs_ until
-  // release_borrowed_pins(), so rows stay valid and resident for the
-  // lifetime of the borrowing view. Public for the batch scheduler
-  // (sys/batch.h), which materializes emitted modules into shared KV pages
-  // during the emit callback (the ref keeps rows valid for that long even
-  // without borrow).
+  // With `borrow` (zero-copy assembly), each emitted module is pinned and
+  // its ref retained in borrowed_refs_ until release_borrowed_pins(), so
+  // rows stay valid and resident for the lifetime of the borrowing view.
+  // Public for the batch scheduler (sys/batch.h), which materializes
+  // emitted modules into shared KV pages during the emit callback (the ref
+  // keeps rows valid for that long even without borrow).
   void for_each_encoded(
       const pml::PromptBinding& binding,
       const std::function<void(const std::string& key,
@@ -335,7 +327,7 @@ class PromptCacheEngine {
 
   void encode_module(const pml::Schema& schema, int mi);
   void encode_scaffold(const pml::Schema& schema, const Scaffold& scaffold);
-  // The forward pass + packaging shared by both store configurations.
+  // The forward pass + packaging behind every encode.
   EncodedModule build_module_payload(const pml::Schema& schema, int mi);
   EncodedModule build_scaffold_payload(const pml::Schema& schema,
                                        const Scaffold& scaffold);
@@ -360,12 +352,12 @@ class PromptCacheEngine {
   EngineConfig config_;
   std::map<std::string, pml::Schema> schemas_;
   std::vector<Scaffold> scaffolds_;
-  ModuleStore store_;                  // unused when shared_ != nullptr
-  SharedModuleStore* shared_ = nullptr;
+  std::unique_ptr<SharedModuleStore> owned_;  // engine-owned store, or null
+  SharedModuleStore* store_;
   EngineCells cells_;
+  // Pins and refs held for live zero-copy views (see for_each_encoded's
+  // `borrow`); released by release_borrowed_pins().
   std::vector<std::string> borrowed_pins_;
-  // Shared-store mode: refs held for live zero-copy views (see
-  // for_each_encoded's `borrow`); cleared by release_borrowed_pins().
   std::vector<SharedModuleStore::ModuleRef> borrowed_refs_;
 };
 

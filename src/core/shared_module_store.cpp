@@ -38,6 +38,33 @@ uint64_t elapsed_us(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
+ModuleStoreCells::ModuleStoreCells() {
+  auto& reg = obs::MetricsRegistry::global();
+  hits = reg.counter("pc_store_hits_total", "module store lookup hits");
+  misses = reg.counter("pc_store_misses_total", "module store lookup misses");
+  insertions =
+      reg.counter("pc_store_insertions_total", "modules inserted into store");
+  evictions = reg.counter("pc_store_evictions_total",
+                          "modules dropped entirely (re-encode on next use)");
+  demotions = reg.counter("pc_store_demotions_total",
+                          "modules moved device -> host to make room");
+  promotions = reg.counter("pc_store_promotions_total",
+                           "modules moved host -> device (prefetch/warm-up)");
+  dequant_rows = reg.counter("pc_store_dequant_rows_total",
+                             "module rows dequantized int8 -> fp32 on read");
+  resident_bytes =
+      reg.gauge("pc_store_resident_bytes", "encoded bytes resident, all tiers");
+  resident_bytes_fp32 = reg.gauge(
+      "pc_store_resident_bytes_fp32",
+      "resident bytes in unquantized (fp32/fp16) module payloads");
+  resident_bytes_q8 = reg.gauge("pc_store_resident_bytes_q8",
+                                "resident bytes in Q8_0 module payloads");
+  resident_bytes_q4 = reg.gauge("pc_store_resident_bytes_q4",
+                                "resident bytes in Q4_0 module payloads");
+  pinned_entries =
+      reg.gauge("pc_store_pinned_entries", "entries exempt from eviction");
+}
+
 DiskTierConfig DiskTierConfig::from_env() {
   DiskTierConfig cfg;
   const char* dir = std::getenv("PC_DISK_DIR");
@@ -434,10 +461,15 @@ ModuleLocation SharedModuleStore::place_locked(
   } else {
     // Distinguish "too big for the store" from "too big for a 1/N shard
     // slice of it": the latter is a sharding-configuration problem, not a
-    // capacity problem, and the fix is different.
+    // capacity problem, and the fix is different. A module that fits its
+    // slice but not the free room (the rest is pinned) is neither.
+    const auto over_slice = [&](ModuleLocation l) {
+      const TierUsage& u = s.tiers.usage(l);
+      return !u.unlimited() && bytes > u.capacity_bytes;
+    };
     const size_t max_total =
         std::max(device_capacity_total_, host_capacity_total_);
-    if (bytes <= max_total) {
+    if (over_slice(first) && over_slice(second) && bytes <= max_total) {
       throw CacheError(
           "module '" + key + "' (" + std::to_string(bytes) +
           " bytes) exceeds its per-shard slice of every memory tier "

@@ -1,10 +1,12 @@
-// Thread-safe shared module store for concurrent serving.
-//
-// The private ModuleStore gives each engine its own registry, so N workers
-// encode and hold every module N times — forfeiting exactly the reuse the
-// paper's TTFT claim rests on (§3.4, §5). SharedModuleStore is the shared,
-// concurrent counterpart: N engines over one store hold each encoded module
-// once, and a module encoded by any worker is a hit for all of them.
+// Thread-safe module store: the registry of encoded attention states
+// (paper §4.1). Modules are placed device-first, spill to host, and are
+// evicted least-recently-used; the paper leaves replacement policy to future
+// serving systems (§6), so the policy here is deliberately simple. Every
+// engine runs on one: an engine built from capacities owns a one-shard store
+// (whole-capacity LRU, disk tier off), while N serving engines over one
+// shared store hold each encoded module once, and a module encoded by any
+// worker is a hit for all of them — the reuse the paper's TTFT claim rests
+// on (§3.4, §5).
 //
 // Concurrency design:
 //
@@ -51,12 +53,12 @@
 //     prefetch hit. Spill round-trips are byte-exact (serialize round-trip
 //     is), so RAM-capped tiered serving stays bitwise-identical.
 //
-// Stats live in registry cells (obs/metrics.h) shared with the private
-// store's metric families — one pc_store_* naming scheme covers both — and
-// the hit/miss/insert/evict semantics mirror ModuleStoreStats so existing
-// telemetry carries over. The disk tier adds pc_store_disk_* families
-// (spills, faults, prefetch hits/misses, evictions, failures, stall time,
-// spilled bytes) local to each store instance.
+// Stats live in registry cells (obs/metrics.h): every store owns cells in
+// the pc_store_* metric families, so a Prometheus scrape sees the whole
+// process's cache behavior under one naming scheme while stats() keeps the
+// per-instance view. The disk tier adds pc_store_disk_* families (spills,
+// faults, prefetch hits/misses, evictions, failures, stall time, spilled
+// bytes) local to each store instance.
 #pragma once
 
 #include <atomic>
@@ -71,10 +73,56 @@
 #include <vector>
 
 #include "core/encoded_module.h"
-#include "core/module_store.h"
+#include "obs/metrics.h"
 #include "sys/memory_tier.h"
 
 namespace pc {
+
+// Snapshot view of one store's counters (a view over its registry cells).
+struct ModuleStoreStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t insertions = 0;
+  uint64_t evictions = 0;   // dropped entirely (re-encode on next use)
+  uint64_t demotions = 0;   // moved device -> host to make room
+  uint64_t promotions = 0;  // moved host -> device (prefetch / warm-up)
+};
+
+// The registry cells behind ModuleStoreStats; every store instance owns one
+// set, under the same pc_store_* metric names.
+struct ModuleStoreCells {
+  ModuleStoreCells();
+
+  obs::Counter hits;
+  obs::Counter misses;
+  obs::Counter insertions;
+  obs::Counter evictions;
+  obs::Counter demotions;
+  obs::Counter promotions;
+  // Rows converted from a quantized payload (q8 or q4) to fp32 at
+  // retrieval time (the copy path's dequantize-on-read; the zero-copy/paged
+  // paths never dequantize modules and so never bump this).
+  obs::Counter dequant_rows;   // pc_store_dequant_rows_total
+  obs::Gauge resident_bytes;   // pc_store_resident_bytes
+  // resident_bytes split by payload format: q8 counts Q8_0 modules, q4
+  // counts Q4_0 modules, fp32 counts everything unquantized (fp32 and fp16
+  // payloads).
+  obs::Gauge resident_bytes_fp32;  // pc_store_resident_bytes_fp32
+  obs::Gauge resident_bytes_q8;    // pc_store_resident_bytes_q8
+  obs::Gauge resident_bytes_q4;    // pc_store_resident_bytes_q4
+  obs::Gauge pinned_entries;   // pc_store_pinned_entries
+
+  ModuleStoreStats snapshot() const {
+    ModuleStoreStats out;
+    out.hits = hits.value();
+    out.misses = misses.value();
+    out.insertions = insertions.value();
+    out.evictions = evictions.value();
+    out.demotions = demotions.value();
+    out.promotions = promotions.value();
+    return out;
+  }
+};
 
 // Configuration for the store's disk spill tier (docs/INTERNALS.md §15).
 struct DiskTierConfig {

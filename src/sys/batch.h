@@ -118,8 +118,8 @@ class BatchScheduler {
   // response is final (any status).
   using CompletionFn = std::function<void(ServerResponse&&)>;
 
-  // `shared` may be null (the engine then owns a private ModuleStore sized
-  // by options.engine). Loads options.schemas; an injected encode fault
+  // `shared` may be null (the engine then owns a store sized by
+  // options.engine). Loads options.schemas; an injected encode fault
   // during eager encoding is tolerated (modules re-encode lazily).
   BatchScheduler(const Model& model, const TextTokenizer& tokenizer,
                  SharedModuleStore* shared, Options options,

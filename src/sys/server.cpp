@@ -801,6 +801,18 @@ ServerStats Server::stats() const {
         static_cast<double>(out.completed) / (out.wall_ms / 1e3);
   }
 
+  // Engine-owned stores (no shared store) are summed engine by engine.
+  const auto add_engine_store = [&](const PromptCacheEngine& engine) {
+    if (shared_ != nullptr) return;
+    const ModuleStoreStats ss = engine.store().stats();
+    out.store.hits += ss.hits;
+    out.store.misses += ss.misses;
+    out.store.insertions += ss.insertions;
+    out.store.evictions += ss.evictions;
+    out.store.demotions += ss.demotions;
+    out.store.promotions += ss.promotions;
+    out.resident_module_bytes += engine.store().resident_bytes();
+  };
   if (config_.batching && scheduler_ != nullptr) {
     out.batching = true;
     out.batch_iterations = scheduler_->iterations();
@@ -816,18 +828,7 @@ ServerStats Server::stats() const {
     out.scaffolds_encoded += es.scaffolds_encoded;
     out.thrash_reencodes += es.thrash_reencodes;
     out.engine_ttft.merge(scheduler_->ttft_histogram());
-    if (shared_ == nullptr) {
-      const ModuleStoreStats ss = engine.store().stats();
-      out.store.hits += ss.hits;
-      out.store.misses += ss.misses;
-      out.store.insertions += ss.insertions;
-      out.store.evictions += ss.evictions;
-      out.store.demotions += ss.demotions;
-      out.store.promotions += ss.promotions;
-      out.resident_module_bytes +=
-          engine.store().usage(ModuleLocation::kDeviceMemory).used_bytes +
-          engine.store().usage(ModuleLocation::kHostMemory).used_bytes;
-    }
+    add_engine_store(engine);
   }
   for (const auto& w : workers_) {
     if (w->engine == nullptr) continue;  // worker still constructing
@@ -836,18 +837,7 @@ ServerStats Server::stats() const {
     out.scaffolds_encoded += es.scaffolds_encoded;
     out.thrash_reencodes += es.thrash_reencodes;
     out.engine_ttft.merge(w->engine->cached_ttft_histogram());
-    if (shared_ == nullptr) {
-      const ModuleStoreStats ss = w->engine->store().stats();
-      out.store.hits += ss.hits;
-      out.store.misses += ss.misses;
-      out.store.insertions += ss.insertions;
-      out.store.evictions += ss.evictions;
-      out.store.demotions += ss.demotions;
-      out.store.promotions += ss.promotions;
-      out.resident_module_bytes +=
-          w->engine->store().usage(ModuleLocation::kDeviceMemory).used_bytes +
-          w->engine->store().usage(ModuleLocation::kHostMemory).used_bytes;
-    }
+    add_engine_store(*w->engine);
   }
   if (shared_ != nullptr) {
     out.store = shared_->stats();

@@ -1,11 +1,9 @@
 // Concurrent serving frontend: a bounded request queue feeding a pool of
 // worker threads, one PromptCacheEngine per worker over one shared (const)
-// Model. Two store configurations (see src/core/engine.h):
-//
-//   * shared:  all workers route through one SharedModuleStore — each module
-//     is encoded once fleet-wide (single-flight) and held once.
-//   * private: each worker owns a ModuleStore sized by ServerConfig::engine —
-//     the scale-out baseline the shared store is measured against.
+// Model. The workers either route through one SharedModuleStore — each
+// module is encoded once fleet-wide (single-flight) and held once — or each
+// engine owns a store sized by ServerConfig::engine, the scale-out baseline
+// the shared store is measured against (see src/core/engine.h).
 //
 // Request lifecycle: submit() enqueues (blocking while the queue is at
 // capacity — admission control instead of unbounded memory); a worker pops,
@@ -176,7 +174,7 @@ class Server {
   Server(const Model& model, const TextTokenizer& tokenizer,
          SharedModuleStore& shared_store, ServerConfig config);
 
-  // Private-store serving: each worker owns a ModuleStore sized by
+  // Private-store serving: each worker's engine owns a store sized by
   // config.engine (the N-times-everything baseline).
   Server(const Model& model, const TextTokenizer& tokenizer,
          ServerConfig config);
@@ -240,7 +238,7 @@ class Server {
   int n_workers() const { return config_.n_workers; }
 
   // The async prefetch pipeline, or null (ServerConfig::prefetch off, or
-  // private stores — there is no disk tier to fault from).
+  // engine-owned stores — their disk tier is off).
   const StorePrefetcher* prefetcher() const { return prefetcher_.get(); }
 
  private:

@@ -1,9 +1,16 @@
-// Unit tests for the two-tier module store: placement, LRU eviction,
-// pinning, tier promotion, and the engine's union-sibling prefetch.
+// Unit tests for the module store's placement policy on a one-shard
+// SharedModuleStore (the store every engine built from capacities owns):
+// device-first placement, LRU eviction, tier promotion, and clearing; plus
+// the engine-owned store's configuration, union-sibling prefetch and
+// pinning. Pin counting and pins blocking eviction are covered in
+// test_shared_store.cpp.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "core/engine.h"
-#include "core/module_store.h"
+#include "core/shared_module_store.h"
 #include "eval/workload.h"
 #include "model/induction.h"
 
@@ -27,107 +34,148 @@ EncodedModule make_module(int n_tokens) {
 
 size_t module_bytes(int n_tokens) { return make_module(n_tokens).payload_bytes(); }
 
-TEST(ModuleStore, PlacesDeviceFirstThenSpillsToHost) {
-  ModuleStore store(/*device=*/module_bytes(4), /*host=*/0);
+// One shard keeps LRU over the whole capacity; no disk tier, whatever the
+// environment says.
+SharedModuleStore one_shard_store(size_t device, size_t host) {
+  return SharedModuleStore(device, host, DiskTierConfig{}, /*n_shards=*/1);
+}
+
+TEST(OneShardStore, PlacesDeviceFirstThenSpillsToHost) {
+  SharedModuleStore store =
+      one_shard_store(/*device=*/module_bytes(4), /*host=*/0);
   store.insert("a", make_module(4));
-  ModuleLocation loc;
-  ASSERT_NE(store.find("a", &loc), nullptr);
-  EXPECT_EQ(loc, ModuleLocation::kDeviceMemory);
+  auto a = store.find("a");
+  ASSERT_TRUE(a);
+  EXPECT_EQ(a.location(), ModuleLocation::kDeviceMemory);
 
   // Device is full but host has room: spill, don't evict — every module
   // stays resident (§4.1).
   store.insert("b", make_module(4));
-  ASSERT_NE(store.find("b", &loc), nullptr);
-  EXPECT_EQ(loc, ModuleLocation::kHostMemory);
-  EXPECT_NE(store.find("a"), nullptr);
+  auto b = store.find("b");
+  ASSERT_TRUE(b);
+  EXPECT_EQ(b.location(), ModuleLocation::kHostMemory);
+  EXPECT_TRUE(store.find("a"));
   EXPECT_EQ(store.stats().evictions, 0u);
 }
 
-TEST(ModuleStore, FindBumpsRecency) {
+TEST(OneShardStore, FindBumpsRecency) {
   // No host tier: the store must evict within the device tier, and LRU
   // order decides the victim.
-  ModuleStore store(module_bytes(4) * 2, /*host=*/1);
+  SharedModuleStore store = one_shard_store(module_bytes(4) * 2, /*host=*/1);
   store.insert("a", make_module(4));
   store.insert("b", make_module(4));
   // Touch "a" so "b" becomes the LRU victim.
   (void)store.find("a");
   store.insert("c", make_module(4));
-  EXPECT_NE(store.find("a"), nullptr);
-  EXPECT_EQ(store.find("b"), nullptr);
+  EXPECT_TRUE(store.find("a"));
+  EXPECT_FALSE(store.find("b"));
   EXPECT_EQ(store.stats().evictions, 1u);
 }
 
-TEST(ModuleStore, PinnedEntriesSurviveEviction) {
-  ModuleStore store(module_bytes(4) * 2, /*host=*/1);
-  store.insert("sys", make_module(4));
-  ASSERT_TRUE(store.pin("sys"));
-  EXPECT_TRUE(store.is_pinned("sys"));
-  store.insert("b", make_module(4));
-  store.insert("c", make_module(4));  // must evict b, not pinned sys
-  EXPECT_NE(store.find("sys"), nullptr);
-  EXPECT_EQ(store.find("b"), nullptr);
-  EXPECT_NE(store.find("c"), nullptr);
-
-  ASSERT_TRUE(store.unpin("sys"));
-  store.insert("d", make_module(4));
-  // Either sys or c got evicted; the store stays within capacity.
-  EXPECT_LE(store.usage(ModuleLocation::kDeviceMemory).used_bytes,
-            module_bytes(4) * 2);
-  EXPECT_FALSE(store.pin("ghost"));
-}
-
-TEST(ModuleStore, AllPinnedMeansInsertionFailsLoudly) {
-  ModuleStore store(module_bytes(4), 1);
-  store.insert("sys", make_module(4));
-  store.pin("sys");
-  EXPECT_THROW(store.insert("b", make_module(4)), CacheError);
-  EXPECT_NE(store.find("sys"), nullptr);
-}
-
-TEST(ModuleStore, PromoteMovesBetweenTiers) {
+TEST(OneShardStore, PromoteMovesBetweenTiers) {
   // Device fits one module; the second spills to host.
-  ModuleStore store(module_bytes(4), 0);
+  SharedModuleStore store = one_shard_store(module_bytes(4), 0);
   store.insert("hot", make_module(4));
   store.insert("cold", make_module(4));
-  ModuleLocation loc;
-  ASSERT_NE(store.find("cold", &loc), nullptr);
-  EXPECT_EQ(loc, ModuleLocation::kHostMemory);
+  EXPECT_EQ(store.find("cold").location(), ModuleLocation::kHostMemory);
 
   // Promoting cold displaces hot, which demotes to host (nothing is lost).
-  ASSERT_TRUE(store.promote("cold", ModuleLocation::kDeviceMemory));
-  ASSERT_NE(store.find("cold", &loc), nullptr);
-  EXPECT_EQ(loc, ModuleLocation::kDeviceMemory);
-  ASSERT_NE(store.find("hot", &loc), nullptr);
-  EXPECT_EQ(loc, ModuleLocation::kHostMemory);
+  bool moved = false;
+  ASSERT_TRUE(store.promote("cold", ModuleLocation::kDeviceMemory, &moved));
+  EXPECT_TRUE(moved);
+  EXPECT_EQ(store.find("cold").location(), ModuleLocation::kDeviceMemory);
+  auto hot = store.find("hot");
+  ASSERT_TRUE(hot);
+  EXPECT_EQ(hot.location(), ModuleLocation::kHostMemory);
   EXPECT_EQ(store.stats().promotions, 1u);
   EXPECT_EQ(store.stats().demotions, 1u);
   EXPECT_EQ(store.stats().evictions, 0u);
 
   // No-op promote succeeds without a new promotion.
-  ASSERT_TRUE(store.promote("cold", ModuleLocation::kDeviceMemory));
+  ASSERT_TRUE(store.promote("cold", ModuleLocation::kDeviceMemory, &moved));
+  EXPECT_FALSE(moved);
   EXPECT_EQ(store.stats().promotions, 1u);
   EXPECT_FALSE(store.promote("ghost", ModuleLocation::kDeviceMemory));
 }
 
-TEST(ModuleStore, PromoteRespectsPinsInTargetTier) {
-  ModuleStore store(module_bytes(4), 0);
+TEST(OneShardStore, PromoteRespectsPinsInTargetTier) {
+  SharedModuleStore store = one_shard_store(module_bytes(4), 0);
   store.insert("pinned", make_module(4));
-  store.pin("pinned");
+  ASSERT_TRUE(store.pin("pinned"));
   store.insert("other", make_module(4));  // spills to host
   EXPECT_FALSE(store.promote("other", ModuleLocation::kDeviceMemory));
-  ModuleLocation loc;
-  ASSERT_NE(store.find("pinned", &loc), nullptr);
-  EXPECT_EQ(loc, ModuleLocation::kDeviceMemory);
+  auto pinned = store.find("pinned");
+  ASSERT_TRUE(pinned);
+  EXPECT_EQ(pinned.location(), ModuleLocation::kDeviceMemory);
 }
 
-TEST(ModuleStore, ClearReleasesEverything) {
-  ModuleStore store(0, 0);
+TEST(OneShardStore, ClearReleasesEverything) {
+  SharedModuleStore store = one_shard_store(0, 0);
   store.insert("a", make_module(4));
   store.insert("b", make_module(8));
   store.clear();
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.usage(ModuleLocation::kDeviceMemory).used_bytes, 0u);
   EXPECT_EQ(store.usage(ModuleLocation::kHostMemory).used_bytes, 0u);
+  EXPECT_EQ(store.resident_bytes(), 0u);
+}
+
+// Engine-owned stores ignore PC_DISK_DIR: the disk tier is a serving
+// configuration, chosen by whoever builds a shared store.
+TEST(EngineOwnedStore, DiskTierStaysOffUnderPcDiskDir) {
+  AccuracyWorkload workload(7);
+  Model model = make_induction_model({workload.vocab().size(), 256});
+  const char* prev = std::getenv("PC_DISK_DIR");
+  const std::string saved = prev != nullptr ? prev : "";
+  setenv("PC_DISK_DIR", ::testing::TempDir().c_str(), 1);
+  PromptCacheEngine engine(model, workload.tokenizer());
+  if (prev != nullptr) {
+    setenv("PC_DISK_DIR", saved.c_str(), 1);
+  } else {
+    unsetenv("PC_DISK_DIR");
+  }
+  EXPECT_FALSE(engine.store().disk_enabled());
+  EXPECT_EQ(engine.store().n_shards(), 1u);
+}
+
+// device_capacity_bytes is one LRU budget, not split into shard slices: a
+// capacity of exactly two modules keeps both on the device tier (an 8-way
+// split would reject each module as larger than its slice).
+TEST(EngineOwnedStore, CapacityOfTwoModulesHoldsBothOnDevice) {
+  AccuracyWorkload workload(7);
+  Model model = make_induction_model({workload.vocab().size(), 256});
+  const char* schema = R"(
+    <schema name="two">
+      <module name="d1">w03 q06 a12 . w04 w05</module>
+      <module name="d2">w06 q07 a13 . w07 w08</module>
+    </schema>)";
+
+  PromptCacheEngine probe(model, workload.tokenizer());
+  probe.load_schema(schema);
+  size_t both = 0;
+  probe.store().for_each(
+      [&](const std::string&, const EncodedModule& m, ModuleLocation) {
+        both += m.payload_bytes();
+      });
+  ASSERT_EQ(probe.store().size(), 2u);
+
+  EngineConfig cfg;
+  cfg.device_capacity_bytes = both;
+  cfg.host_capacity_bytes = 1;  // host tier closed to module-sized payloads
+  PromptCacheEngine engine(model, workload.tokenizer(), cfg);
+  engine.load_schema(schema);
+  size_t on_device = 0;
+  engine.store().for_each(
+      [&](const std::string&, const EncodedModule&, ModuleLocation loc) {
+        if (loc == ModuleLocation::kDeviceMemory) ++on_device;
+      });
+  EXPECT_EQ(on_device, 2u);
+  EXPECT_EQ(engine.store().stats().evictions, 0u);
+
+  SharedModuleStore split(both, 1, DiskTierConfig{},
+                          SharedModuleStore::kDefaultShards);
+  PromptCacheEngine split_engine(model, workload.tokenizer(), split, cfg);
+  EXPECT_THROW(split_engine.load_schema(schema), CacheError);
 }
 
 // Engine-level: union-sibling prefetch pulls alternatives into the device

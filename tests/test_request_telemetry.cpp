@@ -111,6 +111,8 @@ TEST_F(RequestTelemetryTest, WorkerPoolTimelineCompleteness) {
   cfg.n_workers = 2;
   cfg.schemas = {kSchema};
   cfg.link.latency_s = 0.001;  // nonzero transfer phase on first imports
+  // Pinned, so the kv_format check holds in the PC_KV_FORMAT legs too.
+  cfg.engine.precision = StorePrecision::kFp32;
   Server server(model_, workload_.tokenizer(), cfg);
   const int n = 12;
   for (int i = 0; i < n; ++i) {
@@ -283,6 +285,7 @@ TEST_F(RequestTelemetryTest, RequestLogJsonlRoundTrip) {
     ServerConfig cfg;
     cfg.n_workers = 2;
     cfg.schemas = {kSchema};
+    cfg.engine.precision = StorePrecision::kFp32;  // see kv_format below
     Server server(model_, workload_.tokenizer(), cfg);
     for (int i = 0; i < 6; ++i) {
       server.submit(kPrompts[static_cast<size_t>(i) % kNumPrompts],

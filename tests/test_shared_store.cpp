@@ -110,27 +110,46 @@ TEST(SharedModuleStore, RefsKeepEvictedModulesAlive) {
 }
 
 TEST(SharedModuleStore, PinsAreRefCountedAndBlockEviction) {
-  SharedModuleStore store(/*device=*/512, /*host=*/512, /*n_shards=*/1);
-  store.insert("a", make_payload(8));
-  ASSERT_TRUE(store.find("a", /*and_pin=*/true));
-  ASSERT_TRUE(store.pin("a"));  // second borrower
-  EXPECT_EQ(store.pin_count("a"), 2);
+  // Room for two 8-token payloads: one per tier, or both on the device
+  // tier with the host tier closed (1 byte), so eviction happens within
+  // one tier's LRU order.
+  struct Shape {
+    size_t device;
+    size_t host;
+  };
+  for (const Shape shape : {Shape{512, 512}, Shape{1024, 1}}) {
+    SCOPED_TRACE("device=" + std::to_string(shape.device) +
+                 " host=" + std::to_string(shape.host));
+    SharedModuleStore store(shape.device, shape.host, /*n_shards=*/1);
+    store.insert("a", make_payload(8));
+    ASSERT_TRUE(store.find("a", /*and_pin=*/true));
+    ASSERT_TRUE(store.pin("a"));  // second borrower
+    EXPECT_EQ(store.pin_count("a"), 2);
+    EXPECT_FALSE(store.pin("ghost"));
 
-  // Eviction pressure cannot touch the pinned entry; with both tiers full
-  // of unevictable bytes the insert must fail loudly.
-  store.insert("b", make_payload(8));  // lands in host
-  ASSERT_TRUE(store.pin("b"));
-  EXPECT_THROW(store.insert("c", make_payload(8)), CacheError);
-  EXPECT_TRUE(store.contains("a"));
+    // Eviction pressure cannot touch the pinned entry; with both tiers
+    // full of unevictable bytes the insert must fail loudly.
+    store.insert("b", make_payload(8));
+    ASSERT_TRUE(store.pin("b"));
+    EXPECT_THROW(store.insert("c", make_payload(8)), CacheError);
+    EXPECT_TRUE(store.contains("a"));
 
-  EXPECT_TRUE(store.unpin("a"));
-  EXPECT_TRUE(store.is_pinned("a"));  // one borrower remains
-  EXPECT_TRUE(store.unpin("a"));
-  EXPECT_FALSE(store.is_pinned("a"));
-  EXPECT_FALSE(store.unpin("a"));  // count never goes negative
+    EXPECT_TRUE(store.unpin("a"));
+    EXPECT_TRUE(store.is_pinned("a"));  // one borrower remains
+    EXPECT_TRUE(store.unpin("a"));
+    EXPECT_FALSE(store.is_pinned("a"));
+    EXPECT_FALSE(store.unpin("a"));  // count never goes negative
 
-  store.insert("c", make_payload(8));  // now a is evictable
-  EXPECT_FALSE(store.contains("a"));
+    store.insert("c", make_payload(8));  // now a is evictable
+    EXPECT_FALSE(store.contains("a"));
+
+    // The pinned b is colder than c, yet c is the one evicted.
+    store.insert("d", make_payload(8));
+    EXPECT_TRUE(store.contains("b"));
+    EXPECT_FALSE(store.contains("c"));
+    EXPECT_TRUE(store.contains("d"));
+    EXPECT_LE(store.resident_bytes(), shape.device + shape.host);
+  }
 }
 
 TEST(SharedModuleStore, ReplaceCarriesPinCountAndKeepsOldPayloadAlive) {
