@@ -7,12 +7,15 @@
 // tokens need not be page-aligned.
 //
 // Ownership model (docs/INTERNALS.md §10):
-//   * Imported modules are materialized once into a packed PagedKVCache
-//     (append_copy) held by the batch scheduler's registry. Requests attach
-//     them with append_shared: full pages are shared by reference
-//     (refcount++, zero copy), and a trailing partially-filled page is
-//     copy-on-write duplicated so the request's suffix keeps filling its
-//     free slots without touching the module.
+//   * An imported module is materialized into a packed PagedKVCache
+//     (append_copy) held by the batch scheduler's registry while some
+//     active request references its pages. Requests attach it with
+//     append_shared: full pages are shared by reference (refcount++, zero
+//     copy), and a trailing partially-filled page is copy-on-write
+//     duplicated so the request's suffix keeps filling its free slots
+//     without touching the module. Once no other cache references a
+//     rendition's pages (pages_shared() is false) the scheduler drops it;
+//     a later importer renders the module again from the store.
 //   * Uncached prompt tokens and decode tokens land in private pages
 //     (append_tokens); only rows appended after the last append_shared are
 //     writable (shared/COW-borrowed module rows are read-only).
@@ -443,6 +446,16 @@ class PagedKVCache {
     size_t b = 0;
     for (PageId id : pages_) b += pool_->page_bytes(id);
     return b;
+  }
+
+  // Whether another cache still references any of this cache's pages (a
+  // pool refcount above 1) — how the batch scheduler tells a module
+  // rendition some active request has attached from one it can release.
+  bool pages_shared() const {
+    for (PageId id : pages_) {
+      if (pool_->refcount(id) > 1) return true;
+    }
+    return false;
   }
 
  private:

@@ -127,11 +127,11 @@ void BatchScheduler::assemble_paged(const pml::PromptBinding& binding,
                        "batched serving requires kFp32, kQ8, or kQ4 module "
                        "storage (module '" << key << "' is stored as fp16, "
                        "which has no in-place attention kernel)");
-          // First import fleet-wide: materialize the module's text rows
-          // into a packed paged rendition. The bytes cross a tier link
-          // once; every later importer attaches the same pages. Quantized
-          // modules land in quantized pages (~4x smaller for q8, ~8x for
-          // q4) that importers score in the integer domain — never
+          // No active request holds this module: materialize its text
+          // rows into a packed paged rendition. The bytes cross a tier link
+          // once; every concurrent importer attaches the same pages.
+          // Quantized modules land in quantized pages (~4x smaller for q8,
+          // ~8x for q4) that importers score in the integer domain — never
           // dequantized.
           PagedKVCache rendition(pool_, model_.config().n_layers,
                                  model_.config().kv_dim());
@@ -203,11 +203,12 @@ void BatchScheduler::finish_serve(std::unique_ptr<Seq> seq) {
     resp.result = ServeResult{};
   }
   resp.status = status;
-  // Release the sequence's pages and settle the KV gauges BEFORE the
-  // completion callback fires. The callback is what lets drain() return,
-  // so any pool or gauge write after it races a caller that reads stats()
-  // the moment drain() wakes.
+  // Release the sequence's pages (and the module renditions only it held)
+  // and settle the KV gauges BEFORE the completion callback fires. The
+  // callback is what lets drain() return, so any pool or gauge write after
+  // it races a caller that reads stats() the moment drain() wakes.
   seq.reset();
+  release_unused_modules();
   refresh_kv_gauges();
   on_complete_(std::move(resp));
 }
@@ -586,6 +587,19 @@ bool BatchScheduler::step() {
   return !active_.empty();
 }
 
+void BatchScheduler::release_unused_modules() {
+  // A full-page or quantized-tail rendition stays referenced while any
+  // importer is active; an fp32 partial tail was copied on write, so the
+  // importer holds its own copy and the rendition can go.
+  for (auto it = paged_modules_.begin(); it != paged_modules_.end();) {
+    if (it->second.pages_shared()) {
+      ++it;
+    } else {
+      it = paged_modules_.erase(it);
+    }
+  }
+}
+
 size_t BatchScheduler::module_bytes() const {
   size_t bytes = 0;
   for (const auto& [key, cache] : paged_modules_) {
@@ -599,14 +613,16 @@ void BatchScheduler::refresh_kv_gauges() {
   peak_live_bytes_ = std::max(peak_live_bytes_, live);
   kv_live_.set(static_cast<int64_t>(live));
   kv_peak_.set(static_cast<int64_t>(peak_live_bytes_));
-  kv_modules_.set(static_cast<int64_t>(module_bytes()));
+  const size_t modules = module_bytes();
+  peak_module_bytes_ = std::max(peak_module_bytes_, modules);
+  kv_modules_.set(static_cast<int64_t>(modules));
 }
 
 BatchKVStats BatchScheduler::kv_stats() const {
   BatchKVStats out;
   out.live_bytes = pool_.live_bytes();
   out.peak_live_bytes = peak_live_bytes_;
-  out.module_bytes = module_bytes();
+  out.module_bytes = peak_module_bytes_;
   out.pages_allocated = pool_.stats().pages_allocated;
   out.cow_copies = pool_.stats().cow_copies;
   return out;

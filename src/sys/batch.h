@@ -12,13 +12,19 @@
 //
 // The KV layer is where §3.4's batch-inference memory optimization lands:
 //
-//   * Every imported module is materialized ONCE into a paged rendition
+//   * An imported module is materialized into a paged rendition
 //     (PagedKVCache built over this scheduler's PagedKVPool) keyed by the
 //     module's store key. Requests attach it with append_shared: full pages
 //     are shared read-only by reference (refcount++, zero bytes moved), and
 //     a trailing partially-filled page is copy-on-write duplicated so the
-//     request's suffix can keep filling it. Eight requests importing the
-//     same 3 modules hold ONE copy of those modules' pages.
+//     request's suffix can keep filling it. Eight concurrent requests
+//     importing the same 3 modules hold ONE copy of those modules' pages.
+//   * A rendition lives only while an active request holds its pages: when
+//     a request completes, every rendition no other cache references is
+//     released, and a later importer renders the module again from the
+//     store. The module footprint is bounded by the unique modules in
+//     flight (plus copied partial tails), not by every module ever served;
+//     an idle scheduler holds no pages at all.
 //   * Uncached prompt tokens and decode tokens land in private zero-filled
 //     pages owned by the request, released when it completes.
 //
@@ -75,7 +81,7 @@ struct BatchConfig {
 struct BatchKVStats {
   size_t live_bytes = 0;      // referenced pages right now
   size_t peak_live_bytes = 0; // high-water mark across the run
-  size_t module_bytes = 0;    // pages held by shared module renditions
+  size_t module_bytes = 0;    // high-water mark of module rendition pages
   uint64_t pages_allocated = 0;
   uint64_t cow_copies = 0;
 };
@@ -199,9 +205,9 @@ class BatchScheduler {
           rng(req.options.seed) {}
   };
 
-  // Materializes (once) and attaches the binding's module pages to
-  // seq.cache; fills retrieve/byte accounting. May throw what
-  // for_each_encoded throws (TransientError, CacheError).
+  // Attaches the binding's module pages to seq.cache, materializing any
+  // module no active request holds; fills retrieve/byte accounting. May
+  // throw what for_each_encoded throws (TransientError, CacheError).
   void assemble_paged(const pml::PromptBinding& binding, Seq& seq);
 
   // generate_impl's loop head for the candidate in seq.next: emission
@@ -219,6 +225,8 @@ class BatchScheduler {
   void finish_serve(std::unique_ptr<Seq> seq);
 
   double backoff_ms_for(uint64_t id, int attempt) const;
+  // Drops every module rendition whose pages no other cache references.
+  void release_unused_modules();
   size_t module_bytes() const;
   void refresh_kv_gauges();
 
@@ -231,8 +239,9 @@ class BatchScheduler {
   // built over it (module renditions and active sequences below).
   PagedKVPool pool_;
   std::unique_ptr<PromptCacheEngine> engine_;
-  // Shared module renditions, keyed by store key; one per module, attached
-  // by reference to every importing request.
+  // Shared module renditions, keyed by store key; one per module in
+  // flight, attached by reference to every importing request and released
+  // once none of them holds its pages.
   std::map<std::string, PagedKVCache> paged_modules_;
   std::vector<std::unique_ptr<Seq>> active_;
 
@@ -245,6 +254,7 @@ class BatchScheduler {
   obs::Gauge kv_modules_;      // pc_batch_kv_module_bytes
   obs::Histogram ttft_;        // pc_batch_ttft_engine_seconds
   size_t peak_live_bytes_ = 0;
+  size_t peak_module_bytes_ = 0;
 };
 
 }  // namespace pc

@@ -153,7 +153,9 @@ struct ServerStats {
   uint64_t batch_tokens = 0;
   size_t kv_live_bytes = 0;
   size_t kv_peak_bytes = 0;
-  size_t kv_module_bytes = 0;  // held once however many requests share them
+  // High-water mark of module rendition bytes, each held once however many
+  // in-flight requests share it (0 live once the scheduler is idle).
+  size_t kv_module_bytes = 0;
   uint64_t kv_cow_copies = 0;
 
   ModuleStoreStats store;

@@ -5,9 +5,10 @@
 //   * the batching Server produces bitwise-identical tokens to sequential
 //     PromptCacheEngine::serve at every batch width (greedy and sampled);
 //   * requests sharing modules share paged KV (§3.4): module renditions are
-//     held once however many requests attach them, and the peak footprint
-//     beats the private-modules baseline; partial module tails are attached
-//     copy-on-write;
+//     held once however many in-flight requests attach them, and the peak
+//     footprint beats the private-modules baseline; partial module tails
+//     are attached copy-on-write; a rendition no request holds is released
+//     (an idle scheduler holds no pages) and rebuilt bitwise on reuse;
 //   * deadline semantics in batch mode: expiry while queued sheds at
 //     dequeue, expiry mid-service cancels to kTimeout;
 //   * submit-time shedding counts in-service requests, not just the queue
@@ -19,6 +20,7 @@
 //     faults keeps availability 1.0 with bitwise-equal tokens.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -32,6 +34,8 @@
 #include "kv/paged_cache.h"
 #include "kv/paged_pool.h"
 #include "model/induction.h"
+#include "obs/metrics.h"
+#include "sys/batch.h"
 #include "sys/fault.h"
 #include "sys/server.h"
 
@@ -413,55 +417,212 @@ std::string footprint_schema() {
   return s;
 }
 
+std::string footprint_prompt(int module) {
+  const std::string m = std::to_string(module);
+  return "<prompt schema=\"fp\"><m" + m + "/> question: q1" + m +
+         "</prompt>";
+}
+
+// The scheduler's own pc_batch_kv_module_bytes cell: gauges sum over live
+// cells, and each test holds at most one scheduler.
+int64_t module_gauge() {
+  for (const auto& f : obs::MetricsRegistry::global().collect()) {
+    if (f.name == "pc_batch_kv_module_bytes") return f.gauge_value;
+  }
+  return -1;
+}
+
+// A BatchScheduler driven directly on the test thread, so the test decides
+// exactly which requests are in flight together.
+class DirectScheduler {
+ public:
+  DirectScheduler(const Model& model, const TextTokenizer& tokenizer,
+                  BatchScheduler::Options options)
+      : sched_(model, tokenizer, nullptr, std::move(options),
+               [this](ServerResponse&& r) { done_.push_back(std::move(r)); }) {}
+
+  BatchScheduler& sched() { return sched_; }
+
+  void admit(const std::string& prompt, const GenerateOptions& options) {
+    BatchScheduler::Request req;
+    req.id = next_id_++;
+    req.prompt = prompt;
+    req.options = options;
+    req.enqueued = std::chrono::steady_clock::now();
+    sched_.admit(std::move(req));
+  }
+
+  // Steps until idle; returns the completions since the last call, in
+  // admission order.
+  std::vector<ServerResponse> run_until_idle() {
+    while (sched_.step()) {
+    }
+    std::vector<ServerResponse> out = std::move(done_);
+    done_.clear();
+    std::sort(out.begin(), out.end(),
+              [](const ServerResponse& a, const ServerResponse& b) {
+                return a.id < b.id;
+              });
+    return out;
+  }
+
+  // Admits the prompts in order, each as soon as a slot is free, then
+  // steps until idle.
+  std::vector<ServerResponse> serve(const std::vector<std::string>& prompts,
+                                    const GenerateOptions& options) {
+    for (const std::string& p : prompts) {
+      while (!sched_.has_capacity()) sched_.step();
+      admit(p, options);
+    }
+    return run_until_idle();
+  }
+
+ private:
+  std::vector<ServerResponse> done_;  // declared first: outlives sched_
+  BatchScheduler sched_;
+  uint64_t next_id_ = 0;
+};
+
 TEST_F(BatchServeTest, SharedModulesReduceKvFootprint) {
   const std::string schema = footprint_schema();
   constexpr int kRequests = 8;
 
   auto run = [&](bool shared_traffic) {
-    ServerConfig cfg;
-    cfg.batching = true;
-    cfg.batch.max_batch = kRequests;
-    // COW-tail accounting is fp32-specific: q8 module pages are immutable,
-    // so partial tails are copied rather than attached copy-on-write. Pin
-    // fp32 here; the q8 paged path is covered by Q8BatchedMatchesSequential.
-    cfg.engine.precision = StorePrecision::kFp32;
-    cfg.schemas = {schema};
-    Server server(model_, workload_.tokenizer(), cfg);
+    BatchScheduler::Options opts;
+    opts.batch.max_batch = kRequests;
+    // COW-tail accounting is fp32-specific: quantized module tails are
+    // attached read-only, never copied on write. Pin fp32 here; the
+    // quantized paged paths are covered by the Q8/Q4 bitwise tests.
+    opts.engine.precision = StorePrecision::kFp32;
+    opts.schemas = {schema};
+    DirectScheduler direct(model_, workload_.tokenizer(), opts);
+    // Every request is admitted before the first step, so all eight are in
+    // flight at once. Shared traffic: every request imports the same
+    // module. Private traffic: each request imports its own.
     for (int i = 0; i < kRequests; ++i) {
-      // Shared traffic: every request imports the same module. Private
-      // traffic: each request imports its own.
-      const int m = shared_traffic ? 0 : i;
-      const std::string prompt = "<prompt schema=\"fp\"><m" +
-                                 std::to_string(m) +
-                                 "/> question: q1" + std::to_string(m) +
-                                 "</prompt>";
-      server.submit(prompt, ask_options(workload_));
+      direct.admit(footprint_prompt(shared_traffic ? 0 : i),
+                   ask_options(workload_));
     }
-    const auto responses = server.drain();
+    EXPECT_EQ(direct.sched().active_requests(), kRequests);
+    // The gauge reads the renditions held right now.
+    EXPECT_GT(module_gauge(), 0);
+    const auto responses = direct.run_until_idle();
+    EXPECT_EQ(responses.size(), static_cast<size_t>(kRequests));
     for (const auto& r : responses) {
       EXPECT_EQ(r.status, ServeStatus::kOk) << r.detail;
       EXPECT_FALSE(r.result.tokens.empty());
     }
-    return server.stats();
+    // Idle: every request's pages and every module rendition are released.
+    EXPECT_TRUE(direct.sched().idle());
+    EXPECT_EQ(direct.sched().pool().live_bytes(), 0u);
+    EXPECT_EQ(module_gauge(), 0);
+    return direct.sched().kv_stats();
   };
 
-  const ServerStats shared = run(/*shared_traffic=*/true);
-  const ServerStats priv = run(/*shared_traffic=*/false);
+  const BatchKVStats shared = run(/*shared_traffic=*/true);
+  const BatchKVStats priv = run(/*shared_traffic=*/false);
 
-  // Module renditions are held once per distinct module, not per request.
-  EXPECT_GT(shared.kv_module_bytes, 0u);
-  EXPECT_EQ(priv.kv_module_bytes, 8 * shared.kv_module_bytes);
+  // Module renditions are held once per distinct module in flight, not per
+  // request.
+  EXPECT_GT(shared.module_bytes, 0u);
+  EXPECT_EQ(priv.module_bytes, 8 * shared.module_bytes);
 
   // Sharing shows up as a strictly smaller peak resident KV footprint for
   // the same request count — the paper's batch-memory claim, measured.
-  EXPECT_GT(shared.kv_peak_bytes, 0u);
-  EXPECT_LT(shared.kv_peak_bytes, priv.kv_peak_bytes);
+  EXPECT_GT(shared.peak_live_bytes, 0u);
+  EXPECT_LT(shared.peak_live_bytes, priv.peak_live_bytes);
 
   // Every request attaches its module's 4-token tail copy-on-write.
-  EXPECT_GE(shared.kv_cow_copies, static_cast<uint64_t>(kRequests));
-  EXPECT_GE(priv.kv_cow_copies, static_cast<uint64_t>(kRequests));
-  check_accounting(shared);
-  check_accounting(priv);
+  EXPECT_GE(shared.cow_copies, static_cast<uint64_t>(kRequests));
+  EXPECT_GE(priv.cow_copies, static_cast<uint64_t>(kRequests));
+}
+
+// A rendition an active request still holds is attached by reference, not
+// rendered again, even after the request that rendered it has completed.
+TEST_F(BatchServeTest, HeldRenditionsStayShared) {
+  BatchScheduler::Options opts;
+  opts.schemas = {footprint_schema()};
+  DirectScheduler direct(model_, workload_.tokenizer(), opts);
+  GenerateOptions one_token = ask_options(workload_);
+  one_token.max_new_tokens = 1;
+  direct.admit(footprint_prompt(0), one_token);               // renders m0
+  direct.admit(footprint_prompt(0), ask_options(workload_));  // attaches it
+  // Both prefill in one iteration; the first finishes on its first token.
+  direct.sched().step();
+  ASSERT_EQ(direct.sched().active_requests(), 1);
+  direct.admit(footprint_prompt(0), ask_options(workload_));
+
+  const auto responses = direct.run_until_idle();
+  ASSERT_EQ(responses.size(), 3u);
+  for (const auto& r : responses) {
+    EXPECT_EQ(r.status, ServeStatus::kOk) << r.detail;
+  }
+  EXPECT_EQ(responses[0].result.ttft.bytes_zero_copy, 0u);
+  for (size_t i = 1; i < responses.size(); ++i) {
+    const TtftBreakdown& ttft = responses[i].result.ttft;
+    EXPECT_GT(ttft.bytes_zero_copy, 0u) << "request " << i;
+    EXPECT_EQ(ttft.bytes_from_host + ttft.bytes_from_device, 0u)
+        << "request " << i;
+  }
+  EXPECT_EQ(responses[1].result.tokens, responses[2].result.tokens);
+  EXPECT_EQ(direct.sched().pool().live_bytes(), 0u);
+}
+
+// A module rendition lives only while a request holds it: once more distinct
+// modules than max_batch have streamed through, the first module's pages
+// are gone, and serving it again renders it afresh from the store — with
+// tokens bitwise-equal to the first serve and to sequential serving. Runs
+// at the process default precision, so the PC_KV_FORMAT=q8/q4 legs
+// re-render quantized renditions.
+TEST_F(BatchServeTest, ModuleRenditionsAreRebuiltBitwise) {
+  const std::string schema = footprint_schema();
+  constexpr int kMaxBatch = 2;
+  const GenerateOptions options = ask_options(workload_);
+  const std::string prompt_a = footprint_prompt(0);
+
+  PromptCacheEngine sequential(model_, workload_.tokenizer());
+  sequential.load_schema(schema);
+  const std::vector<TokenId> expected = sequential.serve(prompt_a, options).tokens;
+  ASSERT_FALSE(expected.empty());
+
+  BatchScheduler::Options opts;
+  opts.batch.max_batch = kMaxBatch;
+  opts.schemas = {schema};
+  DirectScheduler direct(model_, workload_.tokenizer(), opts);
+
+  const auto first = direct.serve({prompt_a}, options);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].status, ServeStatus::kOk) << first[0].detail;
+  // One module's rendition, held while A was in flight, released after.
+  const size_t one_module = direct.sched().kv_stats().module_bytes;
+  EXPECT_GT(one_module, 0u);
+  EXPECT_EQ(direct.sched().pool().live_bytes(), 0u);
+
+  // Seven more distinct modules, at most kMaxBatch in flight.
+  std::vector<std::string> others;
+  for (int m = 1; m < 8; ++m) others.push_back(footprint_prompt(m));
+  for (const auto& r : direct.serve(others, options)) {
+    EXPECT_EQ(r.status, ServeStatus::kOk) << r.detail;
+  }
+  EXPECT_EQ(direct.sched().pool().live_bytes(), 0u);
+
+  const auto second = direct.serve({prompt_a}, options);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].status, ServeStatus::kOk) << second[0].detail;
+  // A's module was rendered again: its bytes moved instead of attaching a
+  // rendition by reference.
+  EXPECT_EQ(second[0].result.ttft.bytes_zero_copy, 0u);
+  EXPECT_GT(second[0].result.ttft.bytes_from_host +
+                second[0].result.ttft.bytes_from_device,
+            0u);
+
+  EXPECT_EQ(first[0].result.tokens, expected);
+  EXPECT_EQ(second[0].result.tokens, expected);
+
+  // The module high-water is one batch's modules, not every module served.
+  EXPECT_LE(direct.sched().kv_stats().module_bytes, kMaxBatch * one_module);
+  EXPECT_EQ(direct.sched().pool().live_bytes(), 0u);
+  EXPECT_EQ(module_gauge(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -214,18 +214,17 @@ TEST(Histogram, EngineRecordsServeLatencies) {
   opts.stop_tokens = {workload.stop_token()};
 
   const char* prompt = R"(<prompt schema="t"><doc/> question: q05</prompt>)";
-  for (int i = 0; i < 8; ++i) (void)engine.serve(prompt, opts);
-  for (int i = 0; i < 3; ++i) (void)engine.serve_baseline(prompt, opts);
+  ServeResult cached, baseline;
+  for (int i = 0; i < 8; ++i) cached = engine.serve(prompt, opts);
+  for (int i = 0; i < 3; ++i) baseline = engine.serve_baseline(prompt, opts);
 
   EXPECT_EQ(engine.cached_ttft_histogram().count(), 8u);
   EXPECT_EQ(engine.baseline_ttft_histogram().count(), 3u);
   EXPECT_GT(engine.cached_ttft_histogram().p50_ms(), 0.0);
-  // Cached TTFT should be under baseline. Compare medians: with the
-  // vectorized kernels both paths on this toy prompt run near the OS
-  // scheduling-noise floor, so a single stray millisecond-scale hiccup in
-  // the tail must not decide the comparison.
-  EXPECT_LT(engine.cached_ttft_histogram().p50_ms(),
-            engine.baseline_ttft_histogram().p50_ms());
+  // The cached serve's TTFT is cheaper because it prefills fewer tokens.
+  // Both paths on this toy prompt are one ~2 ms forward pass, so their
+  // wall-clock order is scheduling noise; the work they do is exact.
+  EXPECT_LT(cached.ttft.uncached_tokens, baseline.ttft.uncached_tokens);
 }
 
 }  // namespace
