@@ -825,11 +825,12 @@ void write_json(const std::vector<RunResult>& runs,
         << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   // Batching acceptance: at 8-way concurrency the iteration loop must beat
-  // its own single-request pacing by >= 1.5x, and wherever requests are
-  // co-resident (max_batch > 1) shared-module traffic must hold a
-  // measurably smaller peak paged-KV footprint than private-module traffic
-  // (§3.4). At width 1 nothing is in flight together, so both traffic
-  // mixes hold one request's modules at a time.
+  // its own single-request pacing by >= 1.5x, and shared-module traffic
+  // must never hold a larger peak paged-KV footprint than private-module
+  // traffic (§3.4). Wherever requests are co-resident (max_batch > 1) it
+  // must hold a measurably smaller one; at width 1 nothing is in flight
+  // together, so both mixes hold one request's modules at a time and the
+  // check is <=.
   double batching_speedup_at_8 = 0;
   bool shared_kv_peak_below_private = true;
   bool shared_kv_modules_below_private = true;
@@ -842,13 +843,17 @@ void write_json(const std::vector<RunResult>& runs,
     }
     if (rps1 > 0) batching_speedup_at_8 = rps8 / rps1;
     for (const BatchRunResult& s : batch_runs) {
-      if (s.traffic != "shared" || s.max_batch == 1) continue;
+      if (s.traffic != "shared") continue;
+      const bool strict = s.max_batch > 1;
+      const auto below = [strict](size_t shared, size_t priv) {
+        return strict ? shared < priv : shared <= priv;
+      };
       for (const BatchRunResult& p : batch_runs) {
         if (p.traffic != "private" || p.max_batch != s.max_batch) continue;
-        if (s.stats.kv_peak_bytes >= p.stats.kv_peak_bytes) {
+        if (!below(s.stats.kv_peak_bytes, p.stats.kv_peak_bytes)) {
           shared_kv_peak_below_private = false;
         }
-        if (s.stats.kv_module_bytes >= p.stats.kv_module_bytes) {
+        if (!below(s.stats.kv_module_bytes, p.stats.kv_module_bytes)) {
           shared_kv_modules_below_private = false;
         }
       }

@@ -203,10 +203,14 @@ void BatchScheduler::finish_serve(std::unique_ptr<Seq> seq) {
     resp.result = ServeResult{};
   }
   resp.status = status;
-  // Release the sequence's pages (and the module renditions only it held)
-  // and settle the KV gauges BEFORE the completion callback fires. The
-  // callback is what lets drain() return, so any pool or gauge write after
-  // it races a caller that reads stats() the moment drain() wakes.
+  // Record the high-water marks while the sequence still holds its pages:
+  // a request that degraded or failed inside admit() never reached step()'s
+  // refresh, yet may have rendered modules. Then release the sequence's
+  // pages (and the module renditions only it held) and settle the KV gauges
+  // BEFORE the completion callback fires. The callback is what lets drain()
+  // return, so any pool or gauge write after it races a caller that reads
+  // stats() the moment drain() wakes.
+  refresh_kv_gauges();
   seq.reset();
   release_unused_modules();
   refresh_kv_gauges();

@@ -822,6 +822,44 @@ TEST_F(BatchServeTest, BatchChaosKeepsFullAvailability) {
   }
 }
 
+// A request that degrades inside admit() after rendering some of its
+// modules never reaches an iteration, yet its renditions count toward the
+// module high-water mark before the completion releases them.
+TEST_F(BatchServeTest, DegradedAdmissionCountsItsRenditions) {
+  const std::string schema = footprint_schema();
+  const std::string prompt =
+      "<prompt schema=\"fp\"><m0/><m1/> question: q10</prompt>";
+  const GenerateOptions options = ask_options(workload_);
+
+  PromptCacheEngine sequential(model_, workload_.tokenizer());
+  sequential.load_schema(schema);
+  const std::vector<TokenId> expected =
+      sequential.serve_full_prefill(prompt, options).tokens;
+
+  BatchScheduler::Options opts;
+  opts.schemas = {schema};
+  opts.retry.max_retries = 0;
+  DirectScheduler direct(model_, workload_.tokenizer(), opts);
+  SharedModuleStore& store = direct.sched().engine().store();
+  // Pinned m0 is exempt from injected eviction, so assembly renders it;
+  // m1 is then evicted and its re-encode fails, degrading the request.
+  ASSERT_TRUE(store.pin("fp::m0"));
+  FaultInjector::global().configure("evict=1,encode=1");
+  direct.admit(prompt, options);
+  FaultInjector::global().disable();
+  EXPECT_EQ(FaultInjector::global().injected(FaultPoint::kEvict), 1u);
+  EXPECT_TRUE(direct.sched().idle());
+
+  const auto responses = direct.run_until_idle();
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status, ServeStatus::kDegraded) << responses[0].detail;
+  EXPECT_EQ(responses[0].result.tokens, expected);
+  EXPECT_GT(direct.sched().kv_stats().module_bytes, 0u);
+  EXPECT_EQ(direct.sched().pool().live_bytes(), 0u);
+  EXPECT_EQ(module_gauge(), 0);
+  EXPECT_TRUE(store.unpin("fp::m0"));
+}
+
 #endif  // PC_FAULTS_ENABLED
 
 }  // namespace
